@@ -40,6 +40,7 @@ use selprop_datalog::eval::{
 };
 use selprop_datalog::magic::magic_transform;
 use selprop_datalog::parser::parse_program;
+use selprop_datalog::persist::TempDir;
 use selprop_datalog::{
     reference, CompactionPolicy, Materialization, PlannerConfig, Program, Server, UpdateRound,
 };
@@ -948,11 +949,12 @@ fn durability_rows(smoke: bool) -> Result<Vec<DurRow>, String> {
     let (recompute_ms, m) = timed(1, || {
         Materialization::from_database(&p, &db, Strategy::SemiNaive)
     });
-    let path = std::env::temp_dir().join(format!("selprop_record_{}.snap", std::process::id()));
+    let dir = TempDir::new("record").map_err(|e| format!("durability/restore: temp dir: {e}"))?;
+    let path = dir.path().join("store.snap");
     let (save_ms, ()) = timed(1, || m.save(&path).expect("snapshot save"));
     let (restore_ms, m2) = timed(1, || Materialization::restore(&path).expect("snapshot restore"));
     let snapshot_bytes = std::fs::metadata(&path).map(|md| md.len()).unwrap_or(0);
-    std::fs::remove_file(&path).ok();
+    drop(dir);
     if m2.to_bytes() != m.to_bytes() {
         return Err("durability/restore: round-trip is not bit-for-bit".into());
     }

@@ -18,9 +18,12 @@
 //!   **delete–rederive** (DRed): tombstone the rows
 //!   ([`ColumnarRelation::tombstone`]), over-delete every derived row
 //!   whose recorded justification transitively uses a deleted row, then
-//!   re-derive survivors from the remaining store (a goal-directed
-//!   per-tuple check against lazily compiled re-derivation plans) and
-//!   propagate the rescues through the normal insert machinery.
+//!   re-derive survivors from the remaining store and propagate the
+//!   rescues through the normal insert machinery. Each rescue is a
+//!   bound query on the candidate tuple: lazily compiled re-derivation
+//!   plans (`plan::RederivePlan`) treat the head variables as bound and
+//!   order the body bound-first, so a candidate costs O(its relevant
+//!   rows), not O(the rule's join).
 //! - [`Materialization::apply`] batches a whole mixed round — EDB
 //!   inserts, retracts, **rule adds** and **rule drops** — into one
 //!   DRed pass (a single walk of the persistent reverse-dependency
@@ -58,7 +61,7 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::persist::{self, Dec, Enc, PersistError};
 use crate::plan::{
     compile_rederive, compile_rule, plan_rule, Action, HeadOp, KeyOp, Out, OrderMode,
-    PlannerConfig, RederivePlan, RulePlan, Step,
+    PlannerConfig, RederivePlan, RulePlan, Step, NO_INDEX,
 };
 use crate::pool::ThreadPool;
 use crate::storage::{shard_ranges, ColumnarRelation, IncrementalIndex, NO_ROW};
@@ -793,10 +796,8 @@ impl Materialization {
         let mut idx_of: FxHashMap<(usize, Vec<usize>), usize> = FxHashMap::default();
         let planned_card: Vec<u64> = rels.iter().map(|r| r.num_live() as u64).collect();
         let plans = {
-            let rels = &rels;
             let rel_of_pred_ref = &rel_of_pred;
-            let mut card =
-                |p: Pred| rel_of_pred_ref.get(&p).map_or(0, |&r| rels[r].num_live() as u64);
+            let mut card = live_card(&rels, rel_of_pred_ref);
             program
                 .rules
                 .iter()
@@ -986,10 +987,15 @@ impl Materialization {
     /// Likewise a no-op (0) for untracked or IDB predicates.
     ///
     /// A thin wrapper over [`Materialization::apply`] — one call is one
-    /// single-phase round, O(affected rows) via the persistent
-    /// reverse-dependency index (after a one-time lazy build on the
-    /// first retract ever; batch mixed work into one [`UpdateRound`] to
-    /// share the fixpoint resume).
+    /// single-phase round. Over-deletion is O(affected rows) via the
+    /// persistent reverse-dependency index (after a one-time lazy build
+    /// on the first retract ever). Each over-deleted row is then checked
+    /// for re-derivation as a bound query: the rescue plan binds the
+    /// row's values into the rule head, runs the body bound-first and
+    /// resolves fully bound atoms through the dedup table, so an
+    /// `anc(x, f)` candidate looks at the parents of `f`, not at every
+    /// descendant of `x`. Batch mixed work into one [`UpdateRound`] to
+    /// share the fixpoint resume.
     pub fn retract_facts(&mut self, pred: Pred, rows: &[Tuple]) -> usize {
         self.apply(&UpdateRound::new().retract_all(pred, rows)).retracted
     }
@@ -1047,7 +1053,8 @@ impl Materialization {
     ///    evaluation pass each over the settled store.
     /// 6. Over-deleted candidates are **rescued** by goal-directed
     ///    one-step re-derivation against the surviving active rules
-    ///    (added rules participate, dropped rules don't).
+    ///    (added rules participate, dropped rules don't), each run as a
+    ///    bound query on the candidate (`plan::RederivePlan`).
     /// 7. One semi-naive resume propagates every delta — inserted,
     ///    seeded and rescued rows — to the new fixpoint.
     ///
@@ -1281,25 +1288,17 @@ impl Materialization {
         }
         let idbs: Vec<Pred> = self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect();
         let slot = self.plans.len();
-        let plan = {
-            let rels = &self.rels;
-            let rel_of_pred = &self.rel_of_pred;
-            let mut card =
-                |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| rels[r].num_live() as u64);
-            plan_rule(
-                rule,
-                slot,
-                &idbs,
-                rel_of_pred,
-                &mut self.idxs,
-                &mut self.idx_of,
-                self.planner.order,
-                &mut card,
-            )
-        };
-        self.plans.push(plan);
-        self.rules.push(rule.clone());
-        self.rule_active.push(true);
+        let mut card = live_card(&self.rels, &self.rel_of_pred);
+        let plan = plan_rule(
+            rule,
+            slot,
+            &idbs,
+            &self.rel_of_pred,
+            &mut self.idxs,
+            &mut self.idx_of,
+            self.planner.order,
+            &mut card,
+        );
         if let Some(rd) = &mut self.rederive {
             rd.push(compile_rederive(
                 slot,
@@ -1307,8 +1306,13 @@ impl Materialization {
                 &self.rel_of_pred,
                 &mut self.idxs,
                 &mut self.idx_of,
+                &mut card,
             ));
         }
+        drop(card);
+        self.plans.push(plan);
+        self.rules.push(rule.clone());
+        self.rule_active.push(true);
         self.apply_index_layout();
     }
 
@@ -1369,13 +1373,11 @@ impl Materialization {
     fn replan(&mut self) {
         let idbs: Vec<Pred> = self.idb_rels.iter().map(|&r| self.pred_of_rel[r]).collect();
         let plans: Vec<RulePlan> = {
-            let rels = &self.rels;
             let rel_of_pred = &self.rel_of_pred;
             let idxs = &mut self.idxs;
             let idx_of = &mut self.idx_of;
             let order = self.planner.order;
-            let mut card =
-                |p: Pred| rel_of_pred.get(&p).map_or(0, |&r| rels[r].num_live() as u64);
+            let mut card = live_card(&self.rels, rel_of_pred);
             self.rules
                 .iter()
                 .enumerate()
@@ -2105,9 +2107,11 @@ impl Materialization {
         Ok(m)
     }
 
-    /// Writes a snapshot of the current state to `path` **atomically**
-    /// (temp file + rename): a crash mid-save leaves the previous
-    /// snapshot intact, never a torn file.
+    /// Writes a snapshot of the current state to `path` **atomically
+    /// and durably** (uniquely named temp file + fsync + rename +
+    /// directory fsync): a crash mid-save leaves the previous snapshot
+    /// intact, never a torn file, and concurrent saves to one path each
+    /// install a complete image.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
         persist::write_atomic(path.as_ref(), &self.to_bytes())?;
         Ok(())
@@ -2857,10 +2861,6 @@ impl Materialization {
         }
     }
 
-    /// Extends the per-`(relation, mask)` indexes over the rows that
-    /// became visible at the last merge (incremental: only the delta
-    /// rows are hashed). Unkeyed steps have no index at all
-    /// ([`NO_INDEX`]): the join scans their row range directly.
     /// Rebuilds any dedup table a restore left stale
     /// ([`ColumnarRelation::ensure_slots`]). Called at the head of every
     /// mutating entry point (all single mutators funnel through
@@ -2871,6 +2871,10 @@ impl Materialization {
         }
     }
 
+    /// Extends the per-`(relation, mask)` indexes over the rows that
+    /// became visible at the last merge (incremental: only the delta
+    /// rows are hashed). Unkeyed steps and rescue point steps have no
+    /// index at all ([`NO_INDEX`]).
     fn extend_indexes(&mut self) {
         debug_assert!(
             self.idxs.iter().all(|i| i.is_segmented() == self.planner.segmented),
@@ -3008,23 +3012,24 @@ impl Materialization {
         if self.rederive.is_some() {
             return;
         }
+        let mut card = live_card(&self.rels, &self.rel_of_pred);
+        let (idxs, idx_of) = (&mut self.idxs, &mut self.idx_of);
         let plans = self
             .rules
             .iter()
             .enumerate()
-            .map(|(ri, r)| {
-                compile_rederive(ri, r, &self.rel_of_pred, &mut self.idxs, &mut self.idx_of)
-            })
+            .map(|(ri, r)| compile_rederive(ri, r, &self.rel_of_pred, idxs, idx_of, &mut card))
             .collect();
+        drop(card);
         self.rederive = Some(plans);
         self.apply_index_layout();
     }
 
     /// Checks whether `tuple` (of relation `rel`) is derivable in one
     /// rule application from the current live store; returns the rule
-    /// and body row ids of the first derivation found. Goal-directed:
-    /// the head binds the rule slots up front, so the body join is
-    /// keyed on them.
+    /// and body row ids (in rule-text order) of the first derivation
+    /// found. Goal-directed: the head binds the rule slots up front, so
+    /// the body join is keyed on them (see [`RederivePlan`]).
     fn rederive_row(
         &self,
         rel: usize,
@@ -3064,7 +3069,8 @@ impl Materialization {
                 scratch,
                 probes,
             ) {
-                return Some((plan.rule, scratch.rows[..plan.steps.len()].to_vec()));
+                let rows = plan.step_of_body.iter().map(|&d| scratch.rows[d]).collect();
+                return Some((plan.rule, rows));
             }
         }
         None
@@ -3472,10 +3478,23 @@ fn tc_kernel(
     }
 }
 
+/// Live row count per predicate (0 for a predicate with no relation):
+/// the cardinalities every plan compilation orders bodies by.
+fn live_card<'a>(
+    rels: &'a [ColumnarRelation],
+    rel_of_pred: &'a FxHashMap<Pred, usize>,
+) -> impl FnMut(Pred) -> u64 + 'a {
+    move |p| {
+        rel_of_pred
+            .get(&p)
+            .map_or(0, |&r| rels[r].num_live() as u64)
+    }
+}
+
 /// Backtracking search for **one** body instantiation of a re-derivation
-/// plan over the full live store; row ids land in `scratch.rows`.
-/// Returns on the first success. Body depths are small (rule body
-/// length), so recursion is fine here.
+/// plan over the full live store; row ids land in `scratch.rows`, by
+/// step depth. Returns on the first success. Body depths are small (rule
+/// body length), so recursion is fine here.
 fn rederive_descend(
     steps: &[Step],
     depth: usize,
@@ -3524,6 +3543,16 @@ fn rederive_descend(
             KeyOp::Const(c) => c,
             KeyOp::Slot(s) => scratch.env[s],
         });
+    }
+    // Point step: the whole tuple is bound, and the dedup table holds
+    // live rows only.
+    if step.idx == NO_INDEX {
+        let r = rel.find_row(&scratch.key);
+        if r == NO_ROW {
+            return false;
+        }
+        scratch.rows[depth] = r;
+        return rederive_descend(steps, depth + 1, rels, idxs, scratch, probes);
     }
     // The key is only needed for the probe itself; deeper levels are
     // free to reuse the buffer.
@@ -3776,6 +3805,99 @@ mod tests {
         assert_eq!(sorted_model(&m.idb_database()), spec_idb(&p, &mirror));
         assert_eq!(m.num_facts(pp), 0);
         assert_eq!(m.num_facts(q), 0);
+    }
+
+    /// A DRed rescue through the bound-first rescue plan. On the diamond
+    /// `a → {b, c} → d → e`, retracting the parent edge that `anc(a, d)`'s
+    /// recorded justification went through leaves `anc(a, d)` rescuable
+    /// through the other branch: the plan runs `par(Z, d)` first and
+    /// checks `anc(a, Z)` as a dedup-table point step. The rescued
+    /// justification still lists its body rows in rule-text order.
+    #[test]
+    fn diamond_rescue_runs_bound_first_and_records_text_order() {
+        let mut p = parse_program(SRC_A).unwrap();
+        let par = p.symbols.get_predicate("par").unwrap();
+        let anc = p.symbols.get_predicate("anc").unwrap();
+        let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| p.symbols.constant(n));
+        let edges = [[a, b], [a, c], [b, d], [c, d], [d, e]].map(|t| t.to_vec());
+        let mut db = Database::new();
+        for t in &edges {
+            db.insert(par, t.clone());
+        }
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        let (anc_rel, par_rel) = (m.rel_of_pred[&anc], m.rel_of_pred[&par]);
+        let justification = |m: &Materialization, t: &[Const]| {
+            let r = m.rels[anc_rel].find_row(t);
+            assert_ne!(r, NO_ROW, "{t:?} is live");
+            let (rule, body) = m.prov.as_ref().expect("recording on")[anc_rel].entry(r as usize);
+            (rule, body.to_vec())
+        };
+
+        let (rule, body) = justification(&m, &[a, d]);
+        assert_eq!(rule, 1, "anc(a, d) comes from the recursive rule");
+        let via = m.rels[par_rel].row(body[1] as usize)[0];
+        let other = if via == b { c } else { b };
+        assert_eq!(m.retract_facts(par, &[vec![via, d]]), 1);
+
+        let mut mirror = Database::new();
+        for t in edges.iter().filter(|t| **t != [via, d]) {
+            mirror.insert(par, t.clone());
+        }
+        assert_eq!(sorted_model(&m.idb_database()), spec_idb(&p, &mirror));
+        m.provenance()
+            .check(&p)
+            .expect("rescued justifications valid");
+
+        let (rule, body) = justification(&m, &[a, d]);
+        assert_eq!(rule, 1);
+        assert_eq!(
+            m.rels[anc_rel].row(body[0] as usize),
+            &[a, other],
+            "body[0] is anc"
+        );
+        assert_eq!(
+            m.rels[par_rel].row(body[1] as usize),
+            &[other, d],
+            "body[1] is par"
+        );
+        assert!(
+            m.idx_of.keys().all(|&(r, _)| r != anc_rel),
+            "the rescue probes anc through its dedup table, not an index"
+        );
+    }
+
+    /// Rescue plans honour head constants and repeated head variables:
+    /// `q(X, X, k)` is re-derivable only for tuples of that shape.
+    #[test]
+    fn rescue_plan_checks_head_constants_and_repeats() {
+        let mut p = parse_program("?- q(A, B, C).\nq(X, X, k) :- e(X, Y), f(Y, X).").unwrap();
+        let (e, f) = (p.rules[0].body[0].pred, p.rules[0].body[1].pred);
+        let [x, y, k, z] = ["x", "y", "k", "z"].map(|n| p.symbols.constant(n));
+        let mut db = Database::new();
+        db.insert(e, vec![x, y]);
+        db.insert(f, vec![y, x]);
+        db.insert(e, vec![y, z]);
+        let mut m = Materialization::from_database(&p, &db, Strategy::SemiNaive);
+        m.ensure_rederive_plans();
+        m.extend_indexes();
+        let q_rel = m.rel_of_pred[&p.rules[0].head.pred];
+        let mut scratch = Scratch::default();
+        let mut probes = 0;
+        let found = m.rederive_row(q_rel, &[x, x, k], &mut scratch, &mut probes);
+        let e_row = m.rels[m.rel_of_pred[&e]].find_row(&[x, y]);
+        let f_row = m.rels[m.rel_of_pred[&f]].find_row(&[y, x]);
+        assert_eq!(
+            found,
+            Some((0, vec![e_row, f_row])),
+            "text order: e row, then f row"
+        );
+        for t in [[x, y, k], [x, x, z], [y, y, k]] {
+            assert_eq!(
+                m.rederive_row(q_rel, &t, &mut scratch, &mut probes),
+                None,
+                "{t:?}"
+            );
+        }
     }
 
     #[test]
@@ -4327,9 +4449,8 @@ mod tests {
 
     #[test]
     fn save_restore_via_file_is_atomic_and_faithful() {
-        let dir = std::env::temp_dir().join(format!("selprop-mat-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.snap");
+        let dir = persist::TempDir::new("mat").unwrap();
+        let path = dir.path().join("store.snap");
 
         let mut p = parse_program(SRC_A).unwrap();
         let par = p.symbols.get_predicate("par").unwrap();
@@ -4350,9 +4471,8 @@ mod tests {
         assert_eq!(m3.to_bytes(), m.to_bytes());
 
         assert!(matches!(
-            Materialization::restore(dir.join("missing.snap")),
+            Materialization::restore(dir.path().join("missing.snap")),
             Err(PersistError::Io(_))
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

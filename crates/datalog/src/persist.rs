@@ -68,7 +68,8 @@
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The 8-byte magic prefix of every snapshot file.
 pub(crate) const MAGIC: [u8; 8] = *b"SPROPMAT";
@@ -384,15 +385,31 @@ pub(crate) fn open(bytes: &[u8]) -> Result<Dec<'_>, PersistError> {
     })
 }
 
-/// Writes `bytes` to `path` **atomically**: the image goes to a
-/// temporary file in the same directory, is flushed to disk, and is
-/// `rename`d over the destination — so a crash mid-write leaves either
-/// the previous snapshot or no file, never a torn one (POSIX rename is
-/// atomic within a filesystem).
+/// A process-unique name stem: pid plus a process-wide counter, so
+/// concurrent writers and tests in one process (and processes sharing a
+/// directory) never collide. The counter publishes no other data.
+fn unique_stem() -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    format!(
+        "{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    )
+}
+
+/// Writes `bytes` to `path` **atomically and durably**: the image goes
+/// to a uniquely named temporary file in the same directory
+/// (`<path>.<pid>-<n>.tmp`, so concurrent savers to one path never
+/// share a temp file), is flushed to disk, and is `rename`d over the
+/// destination; then the directory is synced so the new entry itself
+/// survives a power failure. A crash mid-write leaves either the
+/// previous snapshot or no file, never a torn one (POSIX rename is
+/// atomic within a filesystem); concurrent savers each install a
+/// complete image, and the last rename wins.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp_name);
+    tmp_name.push(format!(".{}.tmp", unique_stem()));
+    let tmp = PathBuf::from(tmp_name);
     let res = (|| {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
@@ -402,7 +419,42 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     if res.is_err() {
         let _ = fs::remove_file(&tmp);
     }
-    res
+    res?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()
+}
+
+/// A fresh, uniquely named directory under [`std::env::temp_dir`],
+/// removed with its contents on drop. The name joins a caller tag, the
+/// process id and a process-wide counter, so tests running in parallel
+/// threads, examples and benchmark runs never share (or delete) one
+/// another's files.
+#[derive(Debug)]
+pub struct TempDir {
+    path: PathBuf,
+}
+
+impl TempDir {
+    /// Creates `temp_dir()/selprop-<tag>-<pid>-<n>`.
+    pub fn new(tag: &str) -> io::Result<Self> {
+        let path = std::env::temp_dir().join(format!("selprop-{tag}-{}", unique_stem()));
+        fs::create_dir_all(&path)?;
+        Ok(Self { path })
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.path);
+    }
 }
 
 /// Reads a whole snapshot file.
@@ -475,9 +527,8 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_or_preserves_never_tears() {
-        let dir = std::env::temp_dir().join(format!("selprop-persist-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.bin");
+        let dir = TempDir::new("persist").unwrap();
+        let path = dir.path().join("snap.bin");
 
         let mut enc = Enc::default();
         enc.u32(1);
@@ -498,7 +549,17 @@ mod tests {
         fs::write(std::path::PathBuf::from(tmp_name), &first[..5]).unwrap();
         assert_eq!(read_file(&path).unwrap(), second);
         open(&read_file(&path).unwrap()).expect("previous snapshot still valid");
+    }
 
-        let _ = fs::remove_dir_all(&dir);
+    #[test]
+    fn temp_dirs_are_unique_and_removed_on_drop() {
+        let a = TempDir::new("unique").unwrap();
+        let b = TempDir::new("unique").unwrap();
+        assert_ne!(a.path(), b.path());
+        assert!(a.path().is_dir() && b.path().is_dir());
+        let kept = a.path().to_path_buf();
+        fs::write(kept.join("f"), b"x").unwrap();
+        drop(a);
+        assert!(!kept.exists(), "dropped with its contents");
     }
 }

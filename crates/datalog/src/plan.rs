@@ -22,6 +22,11 @@
 //!   round: the materialization re-plans only at update-round
 //!   boundaries, when the cardinalities drift past a threshold — and a
 //!   re-plan never touches existing rows or justifications.
+//! - **Bound-first rescue plans** (`compile_rederive`): a DRed rescue
+//!   asks whether one tuple is derivable, a bound query on the rule
+//!   head. The same greedy order runs with the head variables as the
+//!   initial bound set, and an atom that ends up fully bound is a point
+//!   lookup in the relation's dedup table, with no index behind it.
 //! - **Staged-head existence ordering**: `RulePlan::head_ready_depth`
 //!   marks the first join depth at which every head position is bound;
 //!   when that is before the last step, the join probes the head
@@ -174,8 +179,10 @@ pub(crate) enum Out {
 #[derive(Clone, Debug)]
 pub(crate) struct Step {
     pub(crate) rel: usize,
-    /// Index id, or [`NO_INDEX`] for unkeyed steps (empty mask): those
-    /// scan their row range directly and register no index at all.
+    /// Index id, or [`NO_INDEX`] when the step needs none: an unkeyed
+    /// step (empty key) scans its row range directly, and a re-derivation
+    /// **point step** (key = every position, in column order) is a single
+    /// lookup in the relation's dedup table.
     pub(crate) idx: usize,
     /// Whether the predicate is an IDB of the program (reads snapshots).
     pub(crate) idb: bool,
@@ -220,21 +227,35 @@ pub(crate) enum HeadOp {
 }
 
 /// A rule compiled for goal-directed re-derivation checks (DRed rescue
-/// phase): the head is *input*, so every head slot is bound from depth 0
-/// and the body step masks include them. Body steps stay in **original
-/// rule order** — with every head variable pre-bound the textual order
-/// is already keyed, and the rescued rows double as the justification,
-/// which must be positional. Compiled lazily on the first retraction;
-/// the extra `(relation, mask)` indexes it registers are extended
-/// incrementally like all others.
+/// phase). A rescue asks whether one candidate tuple is derivable — a
+/// bound query on the rule head — so the plan runs the way bound queries
+/// should: every head variable is a slot bound from depth 0, and the
+/// body is ordered by [`order_body`] with the head variables as the
+/// initial bound set (most bound positions, then smaller live
+/// cardinality, then text position). A body atom whose positions are all
+/// bound by then is a **point step**: it is resolved through the
+/// relation's dedup table and registers no index. For
+/// `anc(X,Y) :- anc(X,Z), par(Z,Y)` the candidate `anc(x,f)` thus
+/// enumerates the parents `Z` of `f` through `(par,[1])` and checks each
+/// `anc(x,Z)` in O(1), instead of enumerating every descendant of `x`.
+///
+/// The rows found double as the rescued row's justification, which must
+/// be positional: `step_of_body` maps them back to rule-text order.
+/// Compiled lazily on the first rescue from the live cardinalities (and
+/// eagerly for views); the `(relation, mask)` indexes it registers are
+/// extended incrementally like all others.
 #[derive(Clone, Debug)]
 pub(crate) struct RederivePlan {
     /// The rule index (recorded as the rescued row's justification).
     pub(crate) rule: u32,
     pub(crate) head_rel: usize,
     pub(crate) head: Box<[HeadOp]>,
+    /// Body steps in planner order.
     pub(crate) steps: Box<[Step]>,
     pub(crate) num_slots: usize,
+    /// `step_of_body[k]` = the step depth that runs original body atom
+    /// `k` (as [`RulePlan::step_of_body`]).
+    pub(crate) step_of_body: Box<[usize]>,
 }
 
 // ---------------------------------------------------------------------
@@ -243,17 +264,24 @@ pub(crate) struct RederivePlan {
 
 /// Greedy selectivity-aware body order: repeatedly pick the unchosen
 /// atom with the most bound argument positions (constants plus
-/// variables bound by already-chosen atoms), breaking ties toward the
-/// smaller relation cardinality and then the earlier textual position.
+/// variables in `bound` or bound by already-chosen atoms), breaking ties
+/// toward the smaller relation cardinality and then the earlier textual
+/// position.
 ///
-/// Pure and deterministic in `(rule, card)` — the engine calls it with
-/// live row counts, the reference evaluator with database sizes, and
-/// both get the same permutation because IDB relations count 0 at
-/// compile time on both sides.
-pub(crate) fn order_body(rule: &Rule, card: &mut dyn FnMut(Pred) -> u64) -> Vec<usize> {
+/// `bound` is the initial bound set: empty for forward evaluation, the
+/// head variables for a re-derivation check ([`compile_rederive`]).
+/// Pure and deterministic in `(rule, bound, card)` — the engine calls it
+/// with live row counts, the reference evaluator with database sizes,
+/// and both get the same forward permutation because IDB relations
+/// count 0 at compile time on both sides.
+pub(crate) fn order_body(
+    rule: &Rule,
+    bound: &[Var],
+    card: &mut dyn FnMut(Pred) -> u64,
+) -> Vec<usize> {
     let n = rule.body.len();
     let mut chosen = vec![false; n];
-    let mut bound: Vec<Var> = Vec::new();
+    let mut bound: Vec<Var> = bound.to_vec();
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let mut best: Option<(usize, usize, u64)> = None;
@@ -323,7 +351,7 @@ pub(crate) fn body_order(
 ) -> Vec<usize> {
     match mode {
         OrderMode::Original => (0..rule.body.len()).collect(),
-        OrderMode::Planned => order_body(rule, card),
+        OrderMode::Planned => order_body(rule, &[], card),
         OrderMode::Shuffled(seed) => shuffled_order(rule.body.len(), seed, rule_idx),
     }
 }
@@ -335,13 +363,18 @@ pub(crate) fn body_order(
 /// Compiles one body atom against the slot state: the index mask (bound
 /// positions), probe key ops and bind/check actions, registering the
 /// `(relation, mask)` index it probes. `bound_slots` is updated with the
-/// slots this atom binds.
+/// slots this atom binds. With `point` set, a fully bound atom becomes a
+/// point step ([`Step::idx`]) and registers nothing — only valid for
+/// re-derivation, which reads the whole live relation rather than a
+/// snapshot row range.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn compile_step(
     atom: &Atom,
     rel: usize,
     slots: &mut FxHashMap<Var, usize>,
     bound_slots: &mut Vec<bool>,
     idb: bool,
+    point: bool,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
 ) -> Step {
@@ -383,7 +416,8 @@ pub(crate) fn compile_step(
     }
     // Unkeyed steps scan their snapshot range directly — an empty-mask
     // index would never be extended or probed, so none is registered.
-    let idx = if mask.is_empty() {
+    // Point steps probe the dedup table instead of a full-mask index.
+    let idx = if mask.is_empty() || (point && mask.len() == atom.args.len()) {
         NO_INDEX
     } else {
         *idx_of.entry((rel, mask.clone())).or_insert_with(|| {
@@ -494,6 +528,7 @@ pub(crate) fn compile_rule(
             &mut slots,
             &mut bound_slots,
             idb,
+            false,
             idxs,
             idx_of,
         ));
@@ -542,17 +577,21 @@ pub(crate) fn plan_rule(
 }
 
 /// Compiles one rule for goal-directed re-derivation: head variables are
-/// slots bound from depth 0 (the candidate tuple is the input), so the
-/// body step masks include them and the join is keyed on the head.
+/// slots bound from depth 0 (the candidate tuple is the input), the body
+/// is ordered by [`order_body`] with those variables pre-bound, and
+/// fully bound atoms become point steps (see [`RederivePlan`]). `card`
+/// gives the live cardinalities the order breaks ties on.
 pub(crate) fn compile_rederive(
     rule_i: usize,
     rule: &Rule,
     rel_of_pred: &FxHashMap<Pred, usize>,
     idxs: &mut Vec<IncrementalIndex>,
     idx_of: &mut FxHashMap<(usize, Vec<usize>), usize>,
+    card: &mut dyn FnMut(Pred) -> u64,
 ) -> RederivePlan {
     let mut slots: FxHashMap<Var, usize> = FxHashMap::default();
     let mut bound_slots: Vec<bool> = Vec::new();
+    let mut head_vars: Vec<Var> = Vec::new();
     let head = rule
         .head
         .args
@@ -569,15 +608,20 @@ pub(crate) fn compile_rederive(
                     HeadOp::Repeat(s)
                 } else {
                     bound_slots[s] = true;
+                    head_vars.push(*v);
                     HeadOp::First(s)
                 }
             }
         })
         .collect();
-    let steps = rule
-        .body
+    let order = order_body(rule, &head_vars, card);
+    let mut step_of_body = vec![0usize; rule.body.len()];
+    let steps = order
         .iter()
-        .map(|atom| {
+        .enumerate()
+        .map(|(d, &ai)| {
+            step_of_body[ai] = d;
+            let atom = &rule.body[ai];
             // `idb` is irrelevant here (re-derivation always reads the
             // full live store); pass false so snapshots never apply.
             compile_step(
@@ -586,6 +630,7 @@ pub(crate) fn compile_rederive(
                 &mut slots,
                 &mut bound_slots,
                 false,
+                true,
                 idxs,
                 idx_of,
             )
@@ -597,6 +642,7 @@ pub(crate) fn compile_rederive(
         head,
         steps,
         num_slots: slots.len(),
+        step_of_body: step_of_body.into_boxed_slice(),
     }
 }
 
@@ -633,7 +679,7 @@ mod tests {
             "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).",
         );
         let mut card = |p: Pred| if p.0 == rs[1].body[1].pred.0 { 100 } else { 0 };
-        assert_eq!(order_body(&rs[1], &mut card), vec![0, 1]);
+        assert_eq!(order_body(&rs[1], &[], &mut card), vec![0, 1]);
     }
 
     #[test]
@@ -645,7 +691,7 @@ mod tests {
         );
         let par = rs[1].body[0].pred;
         let mut card = |p: Pred| if p == par { 100 } else { 0 };
-        assert_eq!(order_body(&rs[1], &mut card), vec![1, 0]);
+        assert_eq!(order_body(&rs[1], &[], &mut card), vec![1, 0]);
     }
 
     #[test]
@@ -656,7 +702,7 @@ mod tests {
             "?- out(Y).\nout(Y) :- reach(X), e(X, Y), e(root, Y).",
         );
         let mut card = |_: Pred| 10u64;
-        let order = order_body(&rs[0], &mut card);
+        let order = order_body(&rs[0], &[], &mut card);
         assert_eq!(order[0], 2, "constant-bound atom first: {order:?}");
     }
 
@@ -749,5 +795,101 @@ mod tests {
         for (k, &d) in plan.step_of_body.iter().enumerate() {
             assert_eq!(plan.steps[d].rel, plan.body_rels[k]);
         }
+    }
+
+    /// Compiles the rescue plan of `rules[ri]` with fixed cardinalities.
+    fn rescue_plan(
+        p: &crate::ast::Program,
+        ri: usize,
+        card: &mut dyn FnMut(Pred) -> u64,
+    ) -> (RederivePlan, Vec<IncrementalIndex>, FxHashMap<Pred, usize>) {
+        let rel_of = rel_table(p);
+        let mut idxs = Vec::new();
+        let mut idx_of = FxHashMap::default();
+        let plan = compile_rederive(ri, &p.rules[ri], &rel_of, &mut idxs, &mut idx_of, card);
+        (plan, idxs, rel_of)
+    }
+
+    #[test]
+    fn e1_rescue_runs_par_first_then_anc_as_a_point_step() {
+        // Rescue candidate anc(x, f): both body atoms have one bound
+        // position; par is the smaller relation, so it runs first keyed
+        // on its column 1 (Y), and anc(X, Z) is then fully bound.
+        let p = parse_program(
+            "?- anc(john, Y).\nanc(X, Y) :- par(X, Y).\nanc(X, Y) :- anc(X, Z), par(Z, Y).",
+        )
+        .unwrap();
+        let anc = p.rules[1].head.pred;
+        let mut card = |pr: Pred| if pr == anc { 1_000_000 } else { 1_000 };
+        let (plan, idxs, rel_of) = rescue_plan(&p, 1, &mut card);
+        let (anc_rel, par_rel) = (rel_of[&anc], rel_of[&p.rules[1].body[1].pred]);
+        assert!(matches!(&*plan.head, [HeadOp::First(_), HeadOp::First(_)]));
+        assert_eq!(plan.steps[0].rel, par_rel);
+        assert_eq!(idxs[plan.steps[0].idx].mask(), &[1]);
+        assert_eq!(plan.steps[1].rel, anc_rel);
+        assert_eq!(plan.steps[1].idx, NO_INDEX, "point step");
+        assert_eq!(plan.steps[1].key.len(), 2);
+        assert!(plan.steps[1].actions.is_empty());
+        assert_eq!(&*plan.step_of_body, &[1, 0]);
+        assert!(
+            idxs.iter().all(|i| i.rel() != anc_rel),
+            "the rescue registers no index over anc"
+        );
+    }
+
+    #[test]
+    fn e5_rescue_registers_no_full_mask_index() {
+        let p = parse_program(
+            "?- p(c, Y).\np(X, Y) :- flat(X, Y).\n\
+             p(X, Y) :- b1(X, X1), p(X1, Y1), b2(Y1, Y).",
+        )
+        .unwrap();
+        let pp = p.rules[1].head.pred;
+        let (plan, idxs, rel_of) =
+            rescue_plan(&p, 1, &mut |pr: Pred| if pr == pp { 200_000 } else { 50 });
+        assert!(
+            idxs.iter().all(|i| i.mask().len() < 2),
+            "no full-mask index: {:?}",
+            idxs.iter()
+                .map(|i| (i.rel(), i.mask().to_vec()))
+                .collect::<Vec<_>>()
+        );
+        // The recursive atom is the last step, checked in O(1).
+        let last = plan.steps.last().unwrap();
+        assert_eq!(last.rel, rel_of[&pp]);
+        assert_eq!(last.idx, NO_INDEX);
+        assert_eq!(plan.step_of_body[1], 2);
+        // Both base atoms are keyed on their head-bound column.
+        for d in 0..2 {
+            assert_eq!(plan.steps[d].key.len(), 1);
+            assert_ne!(plan.steps[d].idx, NO_INDEX);
+        }
+    }
+
+    #[test]
+    fn rescue_head_with_constant_and_repeated_variable() {
+        // q(X, X, k): X binds once, repeats once, k is a constant. f is
+        // smaller, so it runs first keyed on column 1 (X), binding Y;
+        // e(X, Y) is then a point step.
+        let mut p = parse_program("?- q(A, B, C).\nq(X, X, k) :- e(X, Y), f(Y, X).").unwrap();
+        let k = p.symbols.constant("k");
+        let f = p.rules[0].body[1].pred;
+        let (plan, idxs, rel_of) = rescue_plan(&p, 0, &mut |pr: Pred| if pr == f { 5 } else { 10 });
+        let HeadOp::First(x) = plan.head[0] else {
+            panic!("first head position binds X: {:?}", plan.head)
+        };
+        assert!(matches!(plan.head[1], HeadOp::Repeat(s) if s == x));
+        assert!(matches!(plan.head[2], HeadOp::Const(c) if c == k));
+        assert_eq!(plan.steps[0].rel, rel_of[&f]);
+        assert_eq!(idxs[plan.steps[0].idx].mask(), &[1]);
+        assert_eq!(&*plan.steps[0].key, &[KeyOp::Slot(x)]);
+        assert!(matches!(
+            &*plan.steps[0].actions,
+            [Action::Bind { pos: 0, .. }]
+        ));
+        assert_eq!(plan.steps[1].idx, NO_INDEX);
+        assert_eq!(plan.steps[1].key.len(), 2);
+        assert_eq!(&*plan.step_of_body, &[1, 0]);
+        assert_eq!(plan.num_slots, 2);
     }
 }

@@ -598,6 +598,7 @@ mod tests {
     use super::*;
     use crate::ast::Term;
     use crate::parser::parse_program;
+    use crate::persist::TempDir;
 
     const SRC: &str = "?- anc(john, Y).\n\
                        anc(X, Y) :- par(X, Y).\n\
@@ -850,9 +851,8 @@ mod tests {
 
     #[test]
     fn server_restore_resumes_at_the_persisted_epoch() {
-        let dir = std::env::temp_dir().join(format!("selprop-srv-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("server.snap");
+        let dir = TempDir::new("srv").unwrap();
+        let path = dir.path().join("server.snap");
 
         let mut p = parse_program(SRC).unwrap();
         let par = p.symbols.get_predicate("par").unwrap();
@@ -882,8 +882,6 @@ mod tests {
             server.snapshot().database().sorted_models(),
             "same round on both sides of the restart, same fixpoint"
         );
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // ------------------------------------------------------------------
@@ -1016,9 +1014,8 @@ mod tests {
 
     #[test]
     fn restored_server_reenables_caching_on_request() {
-        let dir = std::env::temp_dir().join(format!("selprop-srvqc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("server.snap");
+        let dir = TempDir::new("srvqc").unwrap();
+        let path = dir.path().join("server.snap");
 
         let mut p = parse_program(SRC).unwrap();
         let par = p.symbols.get_predicate("par").unwrap();
@@ -1046,8 +1043,6 @@ mod tests {
         restored.retract_facts(par, &edges[2..3]);
         assert_eq!(restored.query(&goal).len(), 2, "chain cut at edge 2");
         assert_eq!(restored.query(&goal).sorted(), restored.answer().sorted());
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use selprop_datalog::db::Tuple;
 use selprop_datalog::eval::Strategy;
+use selprop_datalog::persist::TempDir;
 use selprop_datalog::{
     parse_program, CompactionPolicy, Materialization, Server, UpdateRound,
 };
@@ -82,9 +83,8 @@ fn main() {
 
     // Save: versioned, length-prefixed, checksummed, written atomically
     // (temp file + rename) so a crash never tears the snapshot.
-    let dir = std::env::temp_dir().join(format!("selprop-example-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("store.snap");
+    let dir = TempDir::new("example").expect("temp dir");
+    let path = dir.path().join("store.snap");
     server.save(&path).expect("snapshot save");
     let epoch_saved = server.current_epoch();
     println!(
@@ -96,10 +96,10 @@ fn main() {
     // torn prefix and the rename never happened.
     server.apply(&UpdateRound::new().retract(par, edges[31].clone()));
     let torn = std::fs::read(&path).expect("read snapshot");
-    std::fs::write(dir.join("store.snap.tmp"), &torn[..torn.len() / 2]).expect("torn tmp");
+    std::fs::write(dir.path().join("store.snap.tmp"), &torn[..torn.len() / 2]).expect("torn tmp");
 
     // The torn temp file never restores silently...
-    let err = Materialization::restore(dir.join("store.snap.tmp"))
+    let err = Materialization::restore(dir.path().join("store.snap.tmp"))
         .err()
         .expect("a torn snapshot must be rejected");
     println!("torn temp file rejected: {err}");
@@ -128,6 +128,4 @@ fn main() {
     println!(
         "restarted at epoch {epoch_saved}: answers match, updates keep flowing"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,10 +12,13 @@
 //!   catch framing damage before the payload is even parsed;
 //! - a crash between writing the temp file and the atomic rename leaves
 //!   the previous snapshot intact and restorable;
+//! - concurrent saves to one path each succeed and leave one complete,
+//!   restorable snapshot;
 //! - an intact snapshot of a large closure round-trips bit-for-bit and
 //!   behaves identically under subsequent updates.
 
 use selprop_datalog::eval::Strategy;
+use selprop_datalog::persist::TempDir;
 use selprop_datalog::{
     parse_program, Materialization, PersistError, Program, RuleId, Server,
 };
@@ -50,13 +53,11 @@ fn interesting_snapshot() -> Vec<u8> {
     let pin = server.snapshot();
     server.retract_facts(par, &edges[6..8]);
     assert!(server.drop_rule(RuleId(1)));
-    let dir = std::env::temp_dir().join(format!("selprop-fault-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("interesting.snap");
+    let dir = TempDir::new("fault").unwrap();
+    let path = dir.path().join("interesting.snap");
     server.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     drop(pin);
-    std::fs::remove_dir_all(&dir).ok();
     bytes
 }
 
@@ -180,9 +181,8 @@ fn sampled_faults_on_a_large_closure_snapshot() {
 
 #[test]
 fn crash_before_rename_preserves_the_previous_snapshot() {
-    let dir = std::env::temp_dir().join(format!("selprop-crash-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("store.snap");
+    let dir = TempDir::new("crash").unwrap();
+    let path = dir.path().join("store.snap");
 
     let mut p = parse_program(SRC).unwrap();
     let par = p.symbols.get_predicate("par").unwrap();
@@ -196,7 +196,7 @@ fn crash_before_rename_preserves_the_previous_snapshot() {
     // file holds a torn prefix, the rename never happened.
     m.insert_facts(par, &edges[4..]);
     let newer = m.to_bytes();
-    let tmp = dir.join("store.snap.tmp");
+    let tmp = dir.path().join("store.snap.tmp");
     std::fs::write(&tmp, &newer[..newer.len() / 2]).unwrap();
 
     // Restore finds the previous snapshot, intact.
@@ -208,6 +208,51 @@ fn crash_before_rename_preserves_the_previous_snapshot() {
     // A completed save (temp + rename) replaces it atomically.
     m.save(&path).unwrap();
     assert_eq!(Materialization::restore(&path).unwrap().to_bytes(), newer);
+}
 
-    std::fs::remove_dir_all(&dir).ok();
+#[test]
+fn concurrent_saves_to_one_path_both_succeed() {
+    let dir = TempDir::new("concurrent-save").unwrap();
+    let path = dir.path().join("store.snap");
+
+    let mut p = parse_program(SRC).unwrap();
+    let par = p.symbols.get_predicate("par").unwrap();
+    let edges = chain_edges(&mut p, 8);
+    let mut a = Materialization::new(&p, Strategy::SemiNaive);
+    a.insert_facts(par, &edges[..3]);
+    let mut b = Materialization::new(&p, Strategy::SemiNaive);
+    b.insert_facts(par, &edges);
+    let images = [a.to_bytes(), b.to_bytes()];
+
+    for _ in 0..16 {
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let saves = [&a, &b].map(|m| {
+                let (start, path) = (&start, &path);
+                s.spawn(move || {
+                    start.wait();
+                    m.save(path)
+                })
+            });
+            for h in saves {
+                h.join()
+                    .expect("saver thread")
+                    .expect("every concurrent save succeeds");
+            }
+        });
+        let restored = Materialization::restore(&path).expect("the surviving file restores");
+        assert!(
+            images.contains(&restored.to_bytes()),
+            "one saver's complete image"
+        );
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|n| n != "store.snap")
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "no temp file left behind: {leftovers:?}"
+    );
 }
